@@ -75,28 +75,29 @@ bench-shards:
 
 # Sharded-engine smoke: the conservative-lookahead parallel engine's
 # correctness gate. Runs the shard unit and integration tests under the race
-# detector (cross-shard ports, domain partitioning, queue-RNG rebinding,
-# schedule migration, lazy cross-domain web sinks, the sharded runner's
-# one-shard bit-identity against the serial path, fixed-N determinism, and
-# the quick subset of the serial↔sharded differential suite), then
-# the cross-shard zero-alloc budget without race instrumentation, then the
-# CLI path end to end: -shards 1 must take the serial engine, and two
-# -shards 4 runs must note per-shard event counts and agree byte for byte
-# once wall-clock timing lines are filtered.
+# detector (cross-shard ports, domain partitioning and the one-shard
+# Partition no-op, queue-RNG rebinding, schedule migration, lazy
+# cross-domain web sinks, the netem auditor's per-domain checks (TestAudit*),
+# the scenario runner's shards=1 bit-identity with the default run, fixed-N
+# determinism, and the quick subset of the serial↔sharded differential
+# suite), then the cross-shard zero-alloc budget without race
+# instrumentation, then the CLI path end to end: -shards 1 must run on one
+# shard (the serial engine), and two -shards 4 runs must note per-shard event
+# counts and agree byte for byte once wall-clock timing lines are filtered.
 shard-smoke:
-	$(GO) test -race -count=1 -timeout 15m -run 'Shard|Partition|TestCounters|TestDomainAudit' ./internal/sim/ ./internal/netem/ ./internal/scenario/ ./internal/experiments/ ./internal/tcp/ ./internal/trafficgen/
+	$(GO) test -race -count=1 -timeout 15m -run 'Shard|Partition|TestCounters|TestAudit' ./internal/sim/ ./internal/netem/ ./internal/scenario/ ./internal/experiments/ ./internal/tcp/ ./internal/trafficgen/
 	$(GO) test -count=1 -run 'TestShardSendDrainAllocBudget' ./internal/sim/
 	@dir=$$(mktemp -d); \
 	trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) run ./cmd/pertbench -scale quick -exp ext-parkinglot-xl -parallel 1 -shards 1 > "$$dir/serial.txt" || exit 1; \
-	grep -q 'run serially (shards=1)' "$$dir/serial.txt" || { echo "shard-smoke: -shards 1 did not take the serial path"; exit 1; }; \
+	grep -q 'run serially (shards=1)' "$$dir/serial.txt" || { echo "shard-smoke: -shards 1 did not run on one shard"; exit 1; }; \
 	$(GO) run ./cmd/pertbench -scale quick -exp ext-parkinglot-xl -parallel 1 -shards 4 > "$$dir/s4a.txt" || exit 1; \
 	$(GO) run ./cmd/pertbench -scale quick -exp ext-parkinglot-xl -parallel 1 -shards 4 > "$$dir/s4b.txt" || exit 1; \
 	grep -q 'shards=4 events_per_shard=' "$$dir/s4a.txt" || { echo "shard-smoke: missing per-shard event counts"; exit 1; }; \
 	grep -v 'completed in' "$$dir/s4a.txt" > "$$dir/s4a.flat"; \
 	grep -v 'completed in' "$$dir/s4b.txt" > "$$dir/s4b.flat"; \
 	diff -u "$$dir/s4a.flat" "$$dir/s4b.flat" || { echo "shard-smoke: sharded run not deterministic"; exit 1; }; \
-	echo "shard-smoke: OK (serial path, per-shard counts, deterministic replay)"
+	echo "shard-smoke: OK (one-shard run, per-shard counts, deterministic replay)"
 
 # Serial↔sharded differential suite, full depth: every registry experiment and
 # every committed example scenario run serial, -shards 1, 2 and 4, three reps

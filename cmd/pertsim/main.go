@@ -147,6 +147,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		if scenario.IsV2(raw) {
+			// These flags attach Go hooks to the dumbbell runner, which v2
+			// runs never reach; reject them rather than write nothing.
+			for _, f := range []struct{ name, path string }{
+				{"-trace", *tracePath}, {"-qseries", *qseriesPath}, {"-metrics", *metricsPath}} {
+				if f.path != "" {
+					fmt.Fprintf(stderr, "pertsim: %s is not supported with a schema-v2 -config (dumbbell runs only; see EXPERIMENTS.md)\n", f.name)
+					return 2
+				}
+			}
 			return runV2(ctx, raw, shared, *validate, *jsonOut, stdout, stderr)
 		}
 		loaded, sch, err := experiments.LoadScenario(bytes.NewReader(raw))
@@ -172,6 +181,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		// Same restriction: only harness-routed (schema-v2) runs can re-exec
 		// their cell in a worker process.
 		fmt.Fprintln(stderr, "pertsim: -isolate requires a schema-v2 -config (see EXPERIMENTS.md)")
+		return 2
+	}
+	if shared.ShardsRequested() {
+		// Only v2 runs carry the shard count into the runner; an ad-hoc
+		// dumbbell run would silently drop it.
+		fmt.Fprintln(stderr, "pertsim: -shards > 1 requires a schema-v2 -config (see EXPERIMENTS.md)")
 		return 2
 	}
 

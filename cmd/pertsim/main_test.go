@@ -241,3 +241,51 @@ func TestV2ShardsFlag(t *testing.T) {
 		t.Fatalf("rejection should name the schedule: %s", errb.String())
 	}
 }
+
+// TestV2RejectsGoHookFlags: -trace, -qseries and -metrics attach Go hooks to
+// the dumbbell runner, which a schema-v2 run never reaches. Each is rejected
+// with exit 2 and a message naming the flag, and no output file is created.
+func TestV2RejectsGoHookFlags(t *testing.T) {
+	dir := t.TempDir()
+	cfg := filepath.Join(dir, "v2.json")
+	os.WriteFile(cfg, []byte(`{
+		"name": "hooks", "seed": 3,
+		"duration": "4s", "measure_from": "1s",
+		"topology": {"template": "dumbbell", "bandwidth_bps": 5e6},
+		"groups": [{"scheme": "PERT", "count": 1, "from": "left", "to": "right"}]
+	}`), 0o644)
+	for _, flag := range []string{"-trace", "-qseries", "-metrics"} {
+		t.Run(flag, func(t *testing.T) {
+			out := filepath.Join(dir, flag[1:]+".out")
+			var stdout, errb bytes.Buffer
+			if code := run(context.Background(), []string{"-config", cfg, flag, out}, &stdout, &errb); code != 2 {
+				t.Fatalf("%s with a v2 config exit = %d (want 2): %s", flag, code, errb.String())
+			}
+			if !strings.Contains(errb.String(), flag+" is not supported with a schema-v2 -config") {
+				t.Fatalf("error message does not name %s: %s", flag, errb.String())
+			}
+			if _, err := os.Stat(out); !os.IsNotExist(err) {
+				t.Fatalf("%s output file exists after rejection (stat err %v)", flag, err)
+			}
+		})
+	}
+}
+
+// TestShardsRequiresV2Config: the dumbbell path cannot honour -shards > 1,
+// so it is rejected like -cache-dir and -isolate; -shards 0 and 1 (the
+// serial engine) stay accepted.
+func TestShardsRequiresV2Config(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run(context.Background(), []string{"-flows", "2", "-dur", "6s", "-shards", "2"}, &out, &errb); code != 2 {
+		t.Fatalf("ad-hoc -shards 2 exit = %d: %s", code, errb.String())
+	}
+	if !strings.Contains(errb.String(), "-shards > 1 requires a schema-v2 -config") {
+		t.Fatalf("error message: %s", errb.String())
+	}
+	for _, n := range []string{"0", "1"} {
+		errb.Reset()
+		if code := run(context.Background(), []string{"-flows", "2", "-bw", "5e6", "-dur", "4s", "-warm", "1s", "-shards", n}, &out, &errb); code != 0 {
+			t.Fatalf("-shards %s exit = %d: %s", n, code, errb.String())
+		}
+	}
+}

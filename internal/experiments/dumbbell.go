@@ -105,7 +105,7 @@ type DumbbellResult struct {
 // its shard-safety flag is checkable), no cross-domain observers are
 // attached, and no schedule step changes the bottleneck's delay (the
 // boundary cut's lookahead is fixed at partition time). Everything else
-// falls back to the serial engine.
+// runs on one shard, the serial engine.
 func (spec DumbbellSpec) shardable(scheme string) bool {
 	return spec.Shards > 1 && spec.Metrics == nil && spec.Instrument == nil &&
 		scenario.Known(scheme) && !spec.Schedule.HasDelayChange()
@@ -114,17 +114,14 @@ func (spec DumbbellSpec) shardable(scheme string) bool {
 // RunDumbbell executes the scenario under one scheme and returns the
 // measured row.
 func RunDumbbell(spec DumbbellSpec, scheme Scheme) DumbbellResult {
-	var g *sim.ShardGroup
-	var eng *sim.Engine
+	shards := 1
 	if spec.shardable(string(scheme)) {
 		// A dumbbell has exactly one useful cut (the bottleneck), so any
 		// larger request clamps to two domains.
-		g = sim.NewShardGroup(2, spec.Seed)
-		eng = g.Engine(0)
-	} else {
-		eng = sim.NewEngine(spec.Seed)
+		shards = 2
 	}
-	net := netem.NewNetwork(eng)
+	g := sim.NewShardGroup(shards, spec.Seed)
+	net := netem.NewNetwork(g.Engine(0))
 
 	maxRTT := spec.RTTs[0]
 	for _, r := range spec.RTTs {
@@ -138,7 +135,7 @@ func RunDumbbell(spec DumbbellSpec, scheme Scheme) DumbbellResult {
 		maxRTT:      maxRTT,
 		targetDelay: spec.TargetDelay,
 	}
-	res := runDumbbell(g, eng, net, spec, string(scheme), scheme.queueFor(net, env), scheme.ccFor(net, env), scheme.ecn(), webCC(scheme, scheme.ccFor(net, env)))
+	res := runDumbbell(g, net, spec, string(scheme), scheme.queueFor(net, env), scheme.ccFor(net, env), scheme.ecn(), webCC(scheme, scheme.ccFor(net, env)))
 	res.Scheme = scheme
 	return res
 }
@@ -146,12 +143,13 @@ func RunDumbbell(spec DumbbellSpec, scheme Scheme) DumbbellResult {
 // RunDumbbellWith executes the scenario with an explicit congestion-control
 // factory over DropTail bottlenecks — the entry point for PERT ablation
 // studies (custom response curves, signal weights, rate limits). Custom
-// factories cannot be verified shard-safe, so this path is always serial.
+// factories cannot be verified shard-safe, so this path always runs on one
+// shard.
 func RunDumbbellWith(spec DumbbellSpec, cc func() tcp.CongestionControl) DumbbellResult {
-	eng := sim.NewEngine(spec.Seed)
-	net := netem.NewNetwork(eng)
+	g := sim.NewShardGroup(1, spec.Seed)
+	net := netem.NewNetwork(g.Engine(0))
 	qf := func(limit int, _ float64) netem.Discipline { return queue.NewDropTail(limit) }
-	return runDumbbell(nil, eng, net, spec, "custom-cc", qf, cc, false, cc)
+	return runDumbbell(g, net, spec, "custom-cc", qf, cc, false, cc)
 }
 
 // scenarioSpec translates the legacy flat DumbbellSpec into a declarative
@@ -207,13 +205,11 @@ func (spec DumbbellSpec) scenarioSpec(qf topo.QueueFactory) scenario.Spec {
 // historical order (metrics registry, auditor, Instrument hook, delay
 // monitor), then traffic.
 //
-// g selects the execution mode: nil runs the serial engine exactly as
-// always; a shard group partitions the dumbbell at the bottleneck (left
-// side plus R1 on shard 0, R2 plus right side on shard 1) and runs the same
-// windows under conservative-lookahead synchronization. Instrumentation is
-// created and read only at the quiescent points between windows, and the
-// auditors become per-domain, each ticking on its own shard's engine.
-func runDumbbell(g *sim.ShardGroup, eng *sim.Engine, net *netem.Network, spec DumbbellSpec, scheme string,
+// The network is built on g's engine 0 and partitioned at the bottleneck
+// (left side plus R1 on shard 0, R2 plus right side on shard 1; a no-op for
+// one shard, the serial engine). Instrumentation is created and read only
+// at the quiescent points between Run windows.
+func runDumbbell(g *sim.ShardGroup, net *netem.Network, spec DumbbellSpec, scheme string,
 	qf topo.QueueFactory, ccf func() tcp.CongestionControl, ecn bool,
 	webccf func() tcp.CongestionControl) DumbbellResult {
 
@@ -231,8 +227,9 @@ func runDumbbell(g *sim.ShardGroup, eng *sim.Engine, net *netem.Network, spec Du
 		}
 	}
 
+	eng := g.Engine(0)
 	sspec := spec.scenarioSpec(qf)
-	if g != nil {
+	if g.N() > 1 {
 		// Declare the sharded execution so the spec-level shard-safety
 		// validation runs, and name the groups' scheme so it can: the
 		// compiled CC/Conn are overwritten below either way, so naming the
@@ -244,17 +241,8 @@ func runDumbbell(g *sim.ShardGroup, eng *sim.Engine, net *netem.Network, spec Du
 	}
 	inst := scenario.MustCompile(eng, net, sspec)
 	d := inst.Dumbbell()
-	if g != nil {
-		if err := net.Partition(g, inst.Topo.PartitionHint(g.N())); err != nil {
-			panic(fmt.Sprintf("experiments: dumbbell partition: %v", err))
-		}
-	}
-	run := func(until sim.Duration) {
-		if g != nil {
-			g.Run(sim.Time(until))
-		} else {
-			eng.Run(until)
-		}
+	if err := net.Partition(g, inst.Topo.PartitionHint(g.N())); err != nil {
+		panic(fmt.Sprintf("experiments: dumbbell partition: %v", err))
 	}
 
 	scenarioLine := fmt.Sprintf("dumbbell scheme=%s bw=%g flows=%d rev=%d web=%d loss=%g dup=%g reorder=%g changes=%d",
@@ -266,7 +254,7 @@ func runDumbbell(g *sim.ShardGroup, eng *sim.Engine, net *netem.Network, spec Du
 	// flight-recorder dump.
 	reg := spec.Metrics.newRegistry(eng, scenarioLine)
 
-	var auds []*netem.Auditor
+	var aud *netem.Auditor
 	if !spec.NoAudit {
 		// Every dumbbell run carries the invariant auditor: packet
 		// conservation, link accounting, and bottleneck queue bounds checked
@@ -277,25 +265,10 @@ func runDumbbell(g *sim.ShardGroup, eng *sim.Engine, net *netem.Network, spec Du
 		if fl := reg.Flight(); fl != nil {
 			cfg.MetricsDump = fl.Dump
 		}
-		if g == nil {
-			aud := netem.StartAudit(net, cfg)
-			aud.Watch(d.Forward)
-			aud.BoundQueue(d.Forward, d.BufferPkts)
-			aud.BoundQueue(d.Reverse, d.BufferPkts)
-		} else {
-			// Per-domain auditors, each on its own shard's engine; each
-			// watched link registers with the auditor of the domain owning
-			// it (the forward bottleneck is shard 0's, the reverse shard
-			// 1's). The summed cross-domain ledger is checked by Audit()
-			// after the run.
-			auds = make([]*netem.Auditor, net.Domains())
-			for dom := range auds {
-				auds[dom] = netem.StartDomainAudit(net, dom, cfg)
-			}
-			auds[d.Forward.From.Domain()].Watch(d.Forward)
-			auds[d.Forward.From.Domain()].BoundQueue(d.Forward, d.BufferPkts)
-			auds[d.Reverse.From.Domain()].BoundQueue(d.Reverse, d.BufferPkts)
-		}
+		aud = netem.StartAudit(net, cfg)
+		aud.Watch(d.Forward)
+		aud.BoundQueue(d.Forward, d.BufferPkts)
+		aud.BoundQueue(d.Reverse, d.BufferPkts)
 	}
 
 	if spec.Instrument != nil {
@@ -318,16 +291,16 @@ func runDumbbell(g *sim.ShardGroup, eng *sim.Engine, net *netem.Network, spec Du
 	spec.Metrics.instrumentDumbbell(reg, d, fwd)
 
 	// Warm up, then measure.
-	run(spec.MeasureFrom)
+	g.Run(spec.MeasureFrom)
 	meter := stats.NewMeter(d.Forward)
 	meter.Start(eng.Now())
-	// The queue monitor samples on the engine owning the bottleneck — the
-	// same engine either way (R1 lives on shard 0), spelled through the
-	// node so the ownership rule is explicit.
+	// The queue monitor samples on the engine owning the bottleneck —
+	// engine 0 at any shard count (R1 lives on shard 0), spelled through
+	// the node so the ownership rule is explicit.
 	qmon := stats.MonitorQueue(d.Forward.From.Engine(), d.Forward, eng.Now(), 10*sim.Millisecond)
 	snap := trafficgen.GoodputSnapshot(fwd)
 
-	run(spec.MeasureUntil)
+	g.Run(spec.MeasureUntil)
 	var sent, retrans uint64
 	for _, f := range fwd {
 		sent += f.Conn.Stats.SegsSent
@@ -352,15 +325,12 @@ func runDumbbell(g *sim.ShardGroup, eng *sim.Engine, net *netem.Network, spec Du
 		BufferPkts:      d.BufferPkts,
 	}
 	qmon.Stop()
-	run(spec.Duration)
-	if g != nil {
-		for _, aud := range auds {
-			aud.Stop()
-		}
+	g.Run(spec.Duration)
+	if aud != nil {
 		// The group has stopped: the summed cross-domain ledger must
-		// balance. The serial auditor enforces the same invariant by
-		// panicking mid-run, so a violation here is equally fatal.
-		if err := net.Audit(); err != nil {
+		// balance. The periodic checks panic on a violation mid-run, so a
+		// violation here is equally fatal.
+		if err := aud.Stop(); err != nil {
 			panic(fmt.Sprintf("experiments: dumbbell scheme=%s shards=%d: %v", scheme, g.N(), err))
 		}
 	}

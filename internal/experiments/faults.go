@@ -145,19 +145,14 @@ func ExtFlap(ctx context.Context, scale Scale) ([]*Table, error) {
 
 // runFlap runs one scheme through the flap schedule and returns aggregate
 // forward goodput (Mbps) per phase plus the blackholed-packet count. With
-// shards > 1 the dumbbell is cut at the bottleneck into two domains; the flap
-// schedule stays legal on the boundary because it changes only capacity and
-// up/down state, never delay (the partition would reject a delay change).
+// shards > 1 the dumbbell is cut at the bottleneck into two domains (one
+// shard is the serial engine); the flap schedule stays legal on the boundary
+// because it changes only capacity and up/down state, never delay (the
+// partition would reject a delay change).
 func runFlap(scheme Scheme, bw float64, flows int, L sim.Duration, seed int64, shards int) ([]float64, uint64) {
-	var g *sim.ShardGroup
-	var eng *sim.Engine
-	if shards > 1 {
-		g = sim.NewShardGroup(2, seed)
-		eng = g.Engine(0)
-	} else {
-		eng = sim.NewEngine(seed)
-	}
-	net := netem.NewNetwork(eng)
+	shards = min(max(shards, 1), 2) // the bottleneck is the only useful cut
+	g := sim.NewShardGroup(shards, seed)
+	net := netem.NewNetwork(g.Engine(0))
 	env := schemeEnv{capacityPPS: bw / (8 * 1040), nFlows: flows, maxRTT: ms(60)}
 	d := topo.NewDumbbell(net, topo.DumbbellConfig{
 		Bandwidth: bw,
@@ -168,27 +163,14 @@ func runFlap(scheme Scheme, bw float64, flows int, L sim.Duration, seed int64, s
 	})
 	sched, phases := extFlapPhases(bw, L)
 	sched.Apply(d.Forward)
-	if g != nil {
-		if err := net.Partition(g, d.PartitionHint(g.N())); err != nil {
-			panic(fmt.Sprintf("experiments: ext-flap scheme=%s shards=%d: %v", scheme, g.N(), err))
-		}
+	if err := net.Partition(g, d.PartitionHint(shards)); err != nil {
+		panic(fmt.Sprintf("experiments: ext-flap scheme=%s shards=%d: %v", scheme, shards, err))
 	}
 
-	scen := fmt.Sprintf("ext-flap scheme=%s bw=%g flows=%d", scheme, bw, flows)
-	var auds []*netem.Auditor
-	if g == nil {
-		aud := netem.StartAudit(net, netem.AuditConfig{Seed: seed, Scenario: scen})
-		aud.Watch(d.Forward)
-		aud.BoundQueue(d.Forward, d.BufferPkts)
-		auds = []*netem.Auditor{aud}
-	} else {
-		auds = make([]*netem.Auditor, net.Domains())
-		for dom := range auds {
-			auds[dom] = netem.StartDomainAudit(net, dom, netem.AuditConfig{Seed: seed, Scenario: scen})
-		}
-		auds[d.Forward.From.Domain()].Watch(d.Forward)
-		auds[d.Forward.From.Domain()].BoundQueue(d.Forward, d.BufferPkts)
-	}
+	aud := netem.StartAudit(net, netem.AuditConfig{Seed: seed,
+		Scenario: fmt.Sprintf("ext-flap scheme=%s bw=%g flows=%d", scheme, bw, flows)})
+	aud.Watch(d.Forward)
+	aud.BoundQueue(d.Forward, d.BufferPkts)
 
 	ids := trafficgen.NewIDs()
 	fleet := trafficgen.FTPFleet(net, ids, d.Left, d.Right, flows, trafficgen.FTPConfig{
@@ -197,17 +179,10 @@ func runFlap(scheme Scheme, bw float64, flows int, L sim.Duration, seed int64, s
 		StartWindow: L / 5,
 	})
 
-	run := func(until sim.Time) {
-		if g != nil {
-			g.Run(until)
-		} else {
-			eng.Run(until)
-		}
-	}
 	out := make([]float64, len(phases))
 	prev := trafficgen.GoodputSnapshot(fleet)
 	for pi := range phases {
-		run(sim.Time(pi+1) * L)
+		g.Run(sim.Time(pi+1) * L)
 		var sum float64
 		for _, gp := range trafficgen.Goodputs(fleet, prev) {
 			sum += gp
@@ -215,13 +190,8 @@ func runFlap(scheme Scheme, bw float64, flows int, L sim.Duration, seed int64, s
 		prev = trafficgen.GoodputSnapshot(fleet)
 		out[pi] = sum * 8 / L.Seconds() / 1e6
 	}
-	if g != nil {
-		for _, aud := range auds {
-			aud.Stop()
-		}
-		if err := net.Audit(); err != nil {
-			panic(fmt.Sprintf("experiments: ext-flap scheme=%s shards=%d: %v", scheme, g.N(), err))
-		}
+	if err := aud.Stop(); err != nil {
+		panic(fmt.Sprintf("experiments: ext-flap scheme=%s shards=%d: %v", scheme, shards, err))
 	}
 	return out, d.Forward.Impairments().Blackholed
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"pert/internal/scenario"
@@ -48,35 +50,96 @@ func tableFingerprint(t *Table) string {
 	return string(b)
 }
 
-// TestShardedRunnerSerialIdentity: the sharded code path with a group of one
-// shard produces the same table, byte for byte, as the serial RunScenario
-// path, across a randomized sample of scenario shapes. This pins the whole
-// chain — domain-0 packet IDs, auditor event sequence, instrumentation
-// attach order — not just the engine layer.
+// TestShardedRunnerSerialIdentity: an explicit one-shard run (Shards=1)
+// produces the same table, byte for byte, as the default (Shards=0), across
+// a randomized sample of scenario shapes plus one hybrid spec with a fluid
+// background group. Both go through the one shard-group run path, so this
+// pins the one-shard contract of the whole chain — Partition's no-op,
+// domain-0 packet IDs, the auditor's event sequence, instrumentation attach
+// order — not just the engine layer.
 func TestShardedRunnerSerialIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	delayPool := []sim.Duration{ms(1), ms(2), ms(4), ms(8)}
+	var specs []scenario.Spec
 	for trial := 0; trial < 4; trial++ {
 		routers := 3 + rng.Intn(3)
 		edges := make([]sim.Duration, 1+rng.Intn(3))
 		for i := range edges {
 			edges[i] = delayPool[rng.Intn(len(delayPool))]
 		}
-		spec := xlTestSpec(100+int64(trial), routers, edges)
-
-		serial, err := RunScenario(spec) // Shards=0: serial path
+		specs = append(specs, xlTestSpec(100+int64(trial), routers, edges))
+	}
+	specs = append(specs, scenario.Spec{
+		Name: "fluid-identity",
+		Seed: 11,
+		Topology: scenario.TopologySpec{
+			Template:   scenario.DumbbellTemplate,
+			Bandwidth:  20e6,
+			Hosts:      2,
+			RTTs:       []sim.Duration{ms(60)},
+			BufferPkts: 400,
+		},
+		Groups: []scenario.FlowGroupSpec{
+			{Label: "fg", Scheme: "PERT", Count: 2, From: "left", To: "right", StartWindow: seconds(1)},
+			{Label: "bg", Scheme: "PERT", Count: 50, From: "left", To: "right",
+				Model: scenario.FluidModel, RTT: ms(60)},
+		},
+		Duration: seconds(6), MeasureFrom: seconds(2),
+	})
+	for i, spec := range specs {
+		def, err := RunScenario(spec) // Shards=0: the default
 		if err != nil {
-			t.Fatalf("trial %d serial: %v", trial, err)
+			t.Fatalf("spec %d (%s) default: %v", i, spec.Name, err)
 		}
 		spec.Shards = 1
-		sharded, err := runScenarioSharded(spec) // forced through the group path
+		one, err := RunScenario(spec)
 		if err != nil {
-			t.Fatalf("trial %d sharded: %v", trial, err)
+			t.Fatalf("spec %d (%s) shards=1: %v", i, spec.Name, err)
 		}
-		if got, want := tableFingerprint(sharded), tableFingerprint(serial); got != want {
-			t.Errorf("trial %d (routers=%d edges=%v): one-shard table diverged from serial\nserial:  %s\nsharded: %s",
-				trial, routers, edges, want, got)
+		if got, want := tableFingerprint(one), tableFingerprint(def); got != want {
+			t.Errorf("spec %d (%s): shards=1 table diverged from the default\ndefault:  %s\nshards=1: %s",
+				i, spec.Name, want, got)
 		}
+		if !reflect.DeepEqual(one.Notes, def.Notes) {
+			t.Errorf("spec %d (%s): notes differ: %v vs %v", i, spec.Name, def.Notes, one.Notes)
+		}
+	}
+}
+
+// TestShardedRunnerEventNotesCoverWholeRun: the events_per_shard note sums
+// the per-shard counts over every Run window of the scenario, so its total
+// equals the events the run processed (the process-wide sim counter's
+// delta, which every group Run flushes into), not just the final window's.
+func TestShardedRunnerEventNotesCoverWholeRun(t *testing.T) {
+	spec := xlTestSpec(9, 4, []sim.Duration{ms(1), ms(5)})
+	spec.Shards = 4
+	before, _ := sim.Counters()
+	tab, err := RunScenario(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, _ := sim.Counters()
+	var counts []uint64
+	for _, n := range tab.Notes {
+		if rest, ok := strings.CutPrefix(n, "shards=4 events_per_shard=["); ok {
+			for _, f := range strings.Fields(strings.TrimSuffix(rest, "]")) {
+				c, err := strconv.ParseUint(f, 10, 64)
+				if err != nil {
+					t.Fatalf("note %q: %v", n, err)
+				}
+				counts = append(counts, c)
+			}
+		}
+	}
+	if len(counts) != 4 {
+		t.Fatalf("no 4-shard events_per_shard note in %v", tab.Notes)
+	}
+	var sum uint64
+	for _, c := range counts {
+		sum += c
+	}
+	if want := after - before; sum != want {
+		t.Fatalf("events_per_shard sums to %d, run processed %d events", sum, want)
 	}
 }
 

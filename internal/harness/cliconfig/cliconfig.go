@@ -150,6 +150,10 @@ func (b *Builder) CacheRequested() bool { return *b.cacheDir != "" && *b.cacheMo
 // non-harness code paths cannot honor it.
 func (b *Builder) IsolateRequested() bool { return *b.isolate }
 
+// ShardsRequested reports whether -shards asked for more than one shard, for
+// binaries whose non-harness code paths cannot shard.
+func (b *Builder) ShardsRequested() bool { return *b.shards > 1 }
+
 // FsckRequested reports whether this invocation is a -cache-fsck repair run
 // rather than a sweep.
 func (b *Builder) FsckRequested() bool { return *b.cacheFsck }

@@ -144,7 +144,7 @@ type AuditConfig struct {
 	Scenario string
 	// Interval is the periodic audit period; 0 means 100 ms of sim time.
 	Interval sim.Duration
-	// TraceDepth bounds the trailing-trace ring kept per auditor; 0 means 32
+	// TraceDepth bounds the trailing-trace ring kept per domain; 0 means 32
 	// events. The ring records events only on links passed to Watch.
 	TraceDepth int
 	// OnViolation, when set, receives the violation instead of the default
@@ -159,25 +159,32 @@ type AuditConfig struct {
 	MetricsDump func() []string
 }
 
-// Auditor periodically verifies Network.Audit plus per-link queue bounds and
-// sample-time monotonicity, keeping a bounded ring of recent packet events so
-// a violation ships with its trailing trace. Attach with StartAudit.
+// Auditor periodically verifies the network's invariants plus per-link
+// queue bounds and sample-time monotonicity, keeping a bounded ring of recent
+// packet events so a violation ships with its trailing trace. Attach with
+// StartAudit.
+//
+// The auditor follows the network's domains: one domain check per shard
+// domain, each ticking on its own domain's engine and owning its own bounds
+// and trace ring, so no state is shared between concurrently running shards.
+// An unpartitioned network has exactly one domain, whose check is the full
+// Network.Audit — the conservation equation included — on every tick.
 type Auditor struct {
-	net    *Network
-	cfg    AuditConfig
+	net  *Network
+	cfg  AuditConfig
+	doms []*domainAudit // indexed by domain
+}
+
+// domainAudit is the slice of auditor state one domain's ticker owns.
+type domainAudit struct {
+	a      *Auditor
+	dom    *domain
 	bounds []queueBound
 	ring   []auditTraceEvent
 	next   int  // ring write cursor
 	full   bool // ring has wrapped
 	last   sim.Time
 	ticker *sim.Ticker
-
-	// dom, when non-nil, scopes the auditor to one shard domain
-	// (StartDomainAudit): it ticks on that domain's engine and checks only
-	// that domain's links, skipping the network-wide conservation equation
-	// — which spans state owned by concurrently running shards and only
-	// balances over the sum anyway.
-	dom *domain
 }
 
 type queueBound struct {
@@ -199,7 +206,13 @@ type auditTraceEvent struct {
 }
 
 // StartAudit attaches an auditor to the network and schedules its periodic
-// checks from sim time 0. Watch links and bound queues before traffic starts.
+// checks from sim time 0, one ticker per domain on that domain's engine.
+// On a network that will be partitioned, call it after Partition; watch
+// links and bound queues before traffic starts.
+//
+// Domain 0's ticker consumes exactly the engine-0 sequence numbers an
+// unpartitioned auditor does, which is part of the shards=1 bit-identity
+// contract.
 func StartAudit(n *Network, cfg AuditConfig) *Auditor {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 100 * sim.Millisecond
@@ -207,36 +220,20 @@ func StartAudit(n *Network, cfg AuditConfig) *Auditor {
 	if cfg.TraceDepth <= 0 {
 		cfg.TraceDepth = 32
 	}
-	a := &Auditor{net: n, cfg: cfg, ring: make([]auditTraceEvent, cfg.TraceDepth)}
-	a.ticker = n.eng.Every(0, cfg.Interval, a.check)
-	return a
-}
-
-// StartDomainAudit attaches an auditor scoped to one shard domain of a
-// partitioned network, ticking on that domain's engine — safe while the
-// other shards run concurrently. It verifies per-link accounting and queue
-// sanity for the domain's links plus any bounds registered with BoundQueue
-// (watch and bound only links the domain owns); the global conservation
-// equation is left to a whole-network Audit after the group stops.
-//
-// Domain 0's auditor consumes exactly the engine-0 sequence numbers a
-// serial StartAudit would, which is part of the shards=1 bit-identity
-// contract.
-func StartDomainAudit(n *Network, dom int, cfg AuditConfig) *Auditor {
-	if cfg.Interval <= 0 {
-		cfg.Interval = 100 * sim.Millisecond
+	a := &Auditor{net: n, cfg: cfg, doms: make([]*domainAudit, len(n.doms))}
+	for i, dom := range n.doms {
+		d := &domainAudit{a: a, dom: dom, ring: make([]auditTraceEvent, cfg.TraceDepth)}
+		d.ticker = dom.eng.Every(0, cfg.Interval, d.check)
+		a.doms[i] = d
 	}
-	if cfg.TraceDepth <= 0 {
-		cfg.TraceDepth = 32
-	}
-	a := &Auditor{net: n, cfg: cfg, ring: make([]auditTraceEvent, cfg.TraceDepth), dom: n.doms[dom]}
-	a.ticker = a.dom.eng.Every(0, cfg.Interval, a.check)
 	return a
 }
 
 // Watch records the link's packet events (enqueue/dequeue/drop) in the
-// auditor's trailing-trace ring, chaining with hooks already installed.
+// trailing-trace ring of the domain owning the link, chaining with hooks
+// already installed.
 func (a *Auditor) Watch(l *Link) {
+	d := a.doms[l.dom.idx]
 	record := func(op byte) func(p *Packet, now sim.Time) {
 		return func(p *Packet, now sim.Time) {
 			e := auditTraceEvent{op: op, t: now, from: l.From.ID, to: l.To.ID,
@@ -244,10 +241,10 @@ func (a *Auditor) Watch(l *Link) {
 			if p.IsAck {
 				e.seq = p.AckNo
 			}
-			a.ring[a.next] = e
-			a.next++
-			if a.next == len(a.ring) {
-				a.next, a.full = 0, true
+			d.ring[d.next] = e
+			d.next++
+			if d.next == len(d.ring) {
+				d.next, d.full = 0, true
 			}
 		}
 	}
@@ -275,78 +272,94 @@ func (a *Auditor) Watch(l *Link) {
 
 // BoundQueue asserts that the link's queue never holds more than pkts packets
 // at audit time — the queue-bound invariant for disciplines with a known
-// limit.
+// limit. The owning domain's check enforces it.
 func (a *Auditor) BoundQueue(l *Link, pkts int) {
-	a.bounds = append(a.bounds, queueBound{l, pkts})
+	d := a.doms[l.dom.idx]
+	d.bounds = append(d.bounds, queueBound{l, pkts})
 }
 
-// Stop cancels the periodic checks.
-func (a *Auditor) Stop() { a.ticker.Stop() }
+// Stop cancels the periodic checks and returns the whole-network
+// Network.Audit result — on a partitioned network the only check of the
+// summed conservation ledger. Call it only while the shard group is stopped.
+func (a *Auditor) Stop() error {
+	for _, d := range a.doms {
+		d.ticker.Stop()
+	}
+	return a.net.Audit()
+}
 
-// Check runs one audit pass immediately (the periodic ticker calls this too).
+// Check runs one audit pass of every domain immediately (the periodic
+// tickers run the same passes). Call it only while the shard group is
+// stopped.
 func (a *Auditor) Check() {
-	if a.dom != nil {
-		a.check(a.dom.eng.Now())
-		return
+	for _, d := range a.doms {
+		d.check(d.dom.eng.Now())
 	}
-	a.check(a.net.eng.Now())
 }
 
-func (a *Auditor) check(now sim.Time) {
-	if now < a.last {
-		a.fail(now, fmt.Sprintf("event time moved backwards: %v after %v", now, a.last))
+// check is one domain's audit pass. The conservation equation spans every
+// domain's ledger column and only balances over the sum, so with several
+// domains a pass checks the links its domain owns and leaves the equation to
+// Stop; with one domain it checks the whole network.
+func (d *domainAudit) check(now sim.Time) {
+	if now < d.last {
+		d.fail(now, fmt.Sprintf("event time moved backwards: %v after %v", now, d.last))
 		return
 	}
-	a.last = now
-	if a.dom != nil {
-		for _, node := range a.net.Nodes {
-			if node.dom != a.dom {
+	d.last = now
+	net := d.a.net
+	if len(net.doms) == 1 {
+		if err := net.Audit(); err != nil {
+			d.fail(now, err.Error())
+			return
+		}
+	} else {
+		for _, node := range net.Nodes {
+			if node.dom != d.dom {
 				continue
 			}
 			for _, l := range node.out {
 				if err := auditLink(l); err != nil {
-					a.fail(now, err.Error())
+					d.fail(now, err.Error())
 					return
 				}
 			}
 		}
-	} else if err := a.net.Audit(); err != nil {
-		a.fail(now, err.Error())
-		return
 	}
-	for _, b := range a.bounds {
+	for _, b := range d.bounds {
 		if n := b.link.Queue.Len(); n > b.pkts {
-			a.fail(now, fmt.Sprintf("%v: queue bound exceeded: %d > %d packets", b.link, n, b.pkts))
+			d.fail(now, fmt.Sprintf("%v: queue bound exceeded: %d > %d packets", b.link, n, b.pkts))
 			return
 		}
 	}
 }
 
-func (a *Auditor) fail(now sim.Time, violation string) {
+func (d *domainAudit) fail(now sim.Time, violation string) {
+	cfg := d.a.cfg
 	err := &ViolationError{
 		Violation: violation,
 		At:        now,
-		Seed:      a.cfg.Seed,
-		Scenario:  a.cfg.Scenario,
-		Trace:     a.trace(),
+		Seed:      cfg.Seed,
+		Scenario:  cfg.Scenario,
+		Trace:     d.trace(),
 	}
-	if a.cfg.MetricsDump != nil {
-		err.Metrics = a.cfg.MetricsDump()
+	if cfg.MetricsDump != nil {
+		err.Metrics = cfg.MetricsDump()
 	}
-	if a.cfg.OnViolation != nil {
-		a.cfg.OnViolation(err)
+	if cfg.OnViolation != nil {
+		cfg.OnViolation(err)
 		return
 	}
 	panic(err.Error())
 }
 
 // trace renders the ring as Tracer-format lines, oldest first.
-func (a *Auditor) trace() []string {
+func (d *domainAudit) trace() []string {
 	var events []auditTraceEvent
-	if a.full {
-		events = append(events, a.ring[a.next:]...)
+	if d.full {
+		events = append(events, d.ring[d.next:]...)
 	}
-	events = append(events, a.ring[:a.next]...)
+	events = append(events, d.ring[:d.next]...)
 	out := make([]string, 0, len(events))
 	for _, e := range events {
 		kind := "tcp"

@@ -70,6 +70,40 @@ func TestAuditViolationCarriesReproBundle(t *testing.T) {
 	}
 }
 
+// TestAuditOneDomainCatchesLedgerMidRun: on a one-domain network (here
+// through a one-shard group, as every runner builds it) each periodic tick
+// checks the full conservation equation, so a corrupted ledger is reported
+// at the first tick after the corruption, not only by Stop.
+func TestAuditOneDomainCatchesLedgerMidRun(t *testing.T) {
+	g := sim.NewShardGroup(1, 3)
+	eng := g.Engine(0)
+	net, a, b, ab := line(eng, 8e6, 5*sim.Millisecond, 60)
+	if err := net.Partition(g, []int{0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	var got []*ViolationError
+	aud := StartAudit(net, AuditConfig{Seed: 3, Scenario: "mid-run", Interval: sim.Millisecond,
+		OnViolation: func(v *ViolationError) { got = append(got, v) }})
+	aud.Watch(ab)
+	b.AttachFlow(1, &sink{})
+	for i := 0; i < 20; i++ {
+		eng.At(sim.Time(i)*sim.Millisecond, func() {
+			net.SendFrom(a, &Packet{ID: net.NewPacketID(), Flow: 1, Src: a.ID, Dst: b.ID, Size: 1000})
+		})
+	}
+	eng.At(10*sim.Millisecond+sim.Millisecond/2, func() { net.doms[0].acct.Injected++ })
+	g.Run(50 * sim.Millisecond)
+	if len(got) == 0 {
+		t.Fatal("corrupted ledger not caught mid-run")
+	}
+	if got[0].At != 11*sim.Millisecond || !strings.Contains(got[0].Violation, "conservation") {
+		t.Fatalf("first violation at %v: %q, want the conservation check at 11ms", got[0].At, got[0].Violation)
+	}
+	if err := aud.Stop(); err == nil || !strings.Contains(err.Error(), "conservation") {
+		t.Fatalf("Stop: %v", err)
+	}
+}
+
 func TestAuditDefaultPanicsWithBundle(t *testing.T) {
 	eng := sim.NewEngine(3)
 	net, a, b, _ := line(eng, 8e6, 0, 60)
@@ -113,11 +147,11 @@ func TestAuditTimeMonotonicity(t *testing.T) {
 	var got *ViolationError
 	aud := StartAudit(net, AuditConfig{Seed: 1, Scenario: "clock",
 		OnViolation: func(v *ViolationError) { got = v }})
-	aud.check(5 * sim.Millisecond)
+	aud.doms[0].check(5 * sim.Millisecond)
 	if got != nil {
 		t.Fatalf("forward sample flagged: %v", got)
 	}
-	aud.check(3 * sim.Millisecond)
+	aud.doms[0].check(3 * sim.Millisecond)
 	if got == nil || !strings.Contains(got.Violation, "backwards") {
 		t.Fatalf("violation: %+v", got)
 	}

@@ -116,9 +116,12 @@ func (n *Network) Domains() int { return len(n.doms) }
 //
 // Call exactly once, after the topology is complete (including
 // ComputeRoutes) and before any traffic or timers exist on engines other
-// than g.Engine(0). The network must have been built on g.Engine(0), so a
-// group of one shard leaves every code path exactly as the serial engine
-// ran it.
+// than g.Engine(0). The network must have been built on g.Engine(0).
+//
+// A group of one shard is the serial engine: after validating the
+// assignment, Partition changes nothing — engines, packet IDs, queue RNGs
+// and schedules stay exactly as built — so every runner can partition
+// unconditionally, hybrid (fluid-source) networks included.
 //
 // Partition also completes domain ownership for per-link state armed at
 // build time: queue disciplines implementing RandBinder are rebound to their
@@ -151,6 +154,9 @@ func (n *Network) Partition(g *sim.ShardGroup, assign []int) error {
 		if s < 0 || s >= g.N() {
 			return fmt.Errorf("netem: node %d assigned to shard %d, group has %d", id, s, g.N())
 		}
+	}
+	if g.N() == 1 {
+		return nil
 	}
 	for _, node := range n.Nodes {
 		for _, l := range node.out {

@@ -1,6 +1,9 @@
 package netem
 
 import (
+	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"pert/internal/sim"
@@ -179,9 +182,12 @@ func TestPartitionValidation(t *testing.T) {
 	}
 }
 
-// TestDomainAudit: a domain-scoped auditor checks only its own links and
-// runs safely while the group is active.
-func TestDomainAudit(t *testing.T) {
+// TestAuditPartitionedDomains: on a partitioned network StartAudit runs one
+// domain check per shard, each ticking on its own shard's engine, safely
+// while the group is active. Watch and BoundQueue route each link to the
+// check of the domain owning it, and Stop returns the whole-network ledger
+// check.
+func TestAuditPartitionedDomains(t *testing.T) {
 	g := sim.NewShardGroup(2, 1)
 	net, nodes := buildChain(g.Engine(0), 2*sim.Millisecond)
 	h := &countHandler{}
@@ -189,8 +195,16 @@ func TestDomainAudit(t *testing.T) {
 	if err := net.Partition(g, []int{0, 0, 1, 1}); err != nil {
 		t.Fatal(err)
 	}
-	for d := 0; d < net.Domains(); d++ {
-		StartDomainAudit(net, d, AuditConfig{Seed: 1, Scenario: "domain-audit", Interval: sim.Millisecond})
+	var got *ViolationError
+	aud := StartAudit(net, AuditConfig{Seed: 1, Scenario: "domain-audit", Interval: sim.Millisecond,
+		OnViolation: func(v *ViolationError) { got = v }})
+	ab := nodes[0].LinkTo(nodes[1].ID) // domain 0
+	cd := nodes[2].LinkTo(nodes[3].ID) // domain 1
+	aud.Watch(ab)
+	aud.Watch(cd)
+	aud.BoundQueue(cd, 100)
+	if len(aud.doms) != 2 || len(aud.doms[0].bounds) != 0 || len(aud.doms[1].bounds) != 1 {
+		t.Fatalf("queue bound not routed to the owning domain's check")
 	}
 	src := nodes[0]
 	for i := 0; i < 50; i++ {
@@ -205,7 +219,66 @@ func TestDomainAudit(t *testing.T) {
 	if h.n != 50 {
 		t.Fatalf("delivered %d of 50", h.n)
 	}
-	if err := net.Audit(); err != nil {
+	if got != nil {
+		t.Fatalf("clean run flagged: %v", got)
+	}
+	if err := aud.Stop(); err != nil {
 		t.Fatal(err)
+	}
+
+	// A corrupted domain-1 link is caught by domain 1's check, whose trace
+	// ring holds that domain's watched link.
+	cd.Stats.Arrivals++
+	aud.Check()
+	if got == nil || !strings.Contains(got.Violation, "link accounting") {
+		t.Fatalf("violation: %+v", got)
+	}
+	if len(got.Trace) == 0 || !strings.Contains(got.Trace[0], fmt.Sprintf(" %d %d ", cd.From.ID, cd.To.ID)) {
+		t.Fatalf("domain 1 trace does not show its own link: %v", got.Trace)
+	}
+	if err := aud.Stop(); err == nil {
+		t.Fatal("Stop did not report the corrupted link")
+	}
+}
+
+// TestPartitionOneShardIsNoOp: a one-shard group is the serial engine, so
+// Partition validates and then changes nothing — hybrid fluid-source
+// networks included, which a wider group still rejects as serial-only.
+func TestPartitionOneShardIsNoOp(t *testing.T) {
+	g := sim.NewShardGroup(1, 3)
+	net, a, b, ab := line(g.Engine(0), 8e6, 5*sim.Millisecond, 100)
+	if _, err := AttachFluid(ab, FluidConfig{Flows: 1000, RTT: 0.1}); err != nil {
+		t.Fatal(err)
+	}
+	// A foreign generator: a rebind to the owning engine would replace it.
+	ba := b.LinkTo(a.ID)
+	own := rand.New(rand.NewSource(5))
+	q := &markingQueue{tail: tail{limit: 100}, rng: own}
+	ba.Queue = q
+	txDone := ab.txDone
+
+	if net.Partition(g, []int{0}) == nil {
+		t.Error("wrong assignment length accepted")
+	}
+	if err := net.Partition(g, []int{0, 0}); err != nil {
+		t.Fatalf("one-shard partition rejected: %v", err)
+	}
+	if net.Domains() != 1 || ab.eng != g.Engine(0) || ab.txDone != txDone || q.rng != own {
+		t.Fatal("one-shard partition rebound engine, timer or queue RNG")
+	}
+	if p := a.NewPacket(); p.ID != 1 {
+		t.Fatalf("first packet ID after one-shard partition = %#x, want 1", p.ID)
+	}
+	if net.Partition(sim.NewShardGroup(1, 3), []int{0, 0}) == nil {
+		t.Error("network built on another engine accepted")
+	}
+
+	g2 := sim.NewShardGroup(2, 3)
+	net2, _, _, ab2 := line(g2.Engine(0), 8e6, 5*sim.Millisecond, 100)
+	if _, err := AttachFluid(ab2, FluidConfig{Flows: 1000, RTT: 0.1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := net2.Partition(g2, []int{0, 0}); err == nil || !strings.Contains(err.Error(), "serial-only") {
+		t.Fatalf("two-shard partition of a fluid network: %v, want serial-only rejection", err)
 	}
 }
